@@ -47,7 +47,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod batch;
 pub mod error;
 pub mod integrator;
 pub mod materials;
@@ -56,7 +55,6 @@ pub mod phone;
 pub mod topology;
 pub mod units;
 
-pub use batch::ThermalBatch;
 pub use error::ThermalError;
 pub use integrator::IntegrationMethod;
 pub use network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};

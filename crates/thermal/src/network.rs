@@ -471,16 +471,8 @@ impl ThermalNetwork {
         self.step(duration);
     }
 
-    pub(crate) fn temps_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.temps
-    }
-
     pub(crate) fn temps_slice(&self) -> &[f64] {
         &self.temps
-    }
-
-    pub(crate) fn max_step(&self) -> f64 {
-        self.max_step
     }
 
     pub(crate) fn is_boundary(&self, i: usize) -> bool {
@@ -497,21 +489,6 @@ impl ThermalNetwork {
 
     pub(crate) fn powers(&self) -> &[f64] {
         &self.power
-    }
-
-    pub(crate) fn capacitances(&self) -> &[f64] {
-        &self.capacitance
-    }
-
-    pub(crate) fn method(&self) -> IntegrationMethod {
-        self.method
-    }
-
-    /// Credits simulated time that was integrated externally (by the
-    /// batched stepper), keeping [`elapsed`](Self::elapsed) consistent
-    /// with the scalar path.
-    pub(crate) fn advance_elapsed(&mut self, dt: f64) {
-        self.elapsed += dt;
     }
 
     /// Splits the network into the pieces an integrator needs to hold
@@ -561,10 +538,7 @@ pub(crate) struct NetParams<'a> {
     pub(crate) power: &'a [f64],
 }
 
-/// Writes dT/dt for `temps` into `out`. This is the scalar reference
-/// kernel: the batched integrator in [`crate::batch`] replicates this
-/// arithmetic — same pass order, same accumulation order, division (not
-/// reciprocal multiplication) by the heat capacity — lane by lane.
+/// Writes dT/dt for `temps` into `out`.
 pub(crate) fn derivatives_into(p: &NetParams<'_>, temps: &[f64], out: &mut [f64]) {
     let amb = p.ambient;
     for (i, o) in out.iter_mut().enumerate() {

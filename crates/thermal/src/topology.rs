@@ -296,8 +296,7 @@ impl DeviceThermalModel {
     /// Mutable access to the heat load, for in-place updates on the
     /// hot path (reusing the `die_w` allocation instead of rebuilding
     /// a [`HeatLoad`] every step). Callers must keep `die_w` at one
-    /// entry per die node; [`prepare_step`](Self::prepare_step)
-    /// debug-asserts it.
+    /// entry per die node; [`step`](Self::step) debug-asserts it.
     pub fn heat_mut(&mut self) -> &mut HeatLoad {
         &mut self.heat
     }
@@ -331,20 +330,7 @@ impl DeviceThermalModel {
     /// the skin node, recomputed from the current temperatures: it
     /// conducts toward palm temperature and blocks part of the node's
     /// convective path (see [`HandContact`]).
-    ///
-    /// Equivalent to [`prepare_step`](Self::prepare_step) followed by
-    /// [`integrate`](Self::integrate); batched drivers call the two
-    /// halves separately so several prepared models can integrate
-    /// together through [`ThermalBatch`](crate::ThermalBatch).
     pub fn step(&mut self, dt: f64) {
-        self.prepare_step();
-        self.integrate(dt);
-    }
-
-    /// Stages a step without advancing time: routes the heat load to
-    /// its role nodes and adds the hand's equivalent power term on the
-    /// skin node, computed from the *current* temperatures.
-    pub fn prepare_step(&mut self) {
         debug_assert_eq!(
             self.heat.die_w.len(),
             self.topology.roles.dies.len(),
@@ -363,11 +349,6 @@ impl DeviceThermalModel {
             skin_power += hand.blocked_fraction * g_amb_skin * (t_skin - self.net.ambient());
         }
         self.net.add_power(skin, skin_power);
-    }
-
-    /// Advances a [`prepare_step`](Self::prepare_step)-staged model by
-    /// `dt` seconds.
-    pub fn integrate(&mut self, dt: f64) {
         self.net.step(dt);
     }
 
@@ -463,10 +444,6 @@ impl DeviceThermalModel {
     /// Access to the underlying network (read-only diagnostics).
     pub fn network(&self) -> &ThermalNetwork {
         &self.net
-    }
-
-    pub(crate) fn network_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.net
     }
 }
 

@@ -110,3 +110,39 @@ fn exported_artifacts_are_well_formed() {
         }
     }
 }
+
+/// Each `fleet.triple` span covers exactly one triple, so on one worker
+/// the spans can never add up to more than the process ran. The sweep
+/// runs in its own `fleet_sweep` process: the global registry here is
+/// shared with every sibling test in this binary.
+#[test]
+fn triple_spans_fit_inside_a_single_thread_sweep() {
+    let metrics = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("triple_spans.json");
+    let start = std::time::Instant::now();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+        .args(["--users", "10", "--seed", "42", "--threads", "1", "--quiet"])
+        .arg("--metrics-json")
+        .arg(&metrics)
+        .output()
+        .expect("fleet_sweep spawns");
+    let wall_s = start.elapsed().as_secs_f64();
+    assert!(output.status.success(), "fleet_sweep failed: {output:?}");
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let root = usta_telemetry::json::parse(&text).expect("metrics parse");
+    let span = root
+        .as_object()
+        .and_then(|o| o.get("wallclock"))
+        .and_then(|v| v.as_object())
+        .and_then(|w| w.get("fleet.triple"))
+        .and_then(|v| v.as_object())
+        .expect("a fleet.triple histogram");
+    let field = |name: &str| span.get(name).and_then(|v| v.as_f64()).expect(name);
+    // 10 users x the default 4 scenarios.
+    assert_eq!(field("count"), 40.0, "one span per triple");
+    assert!(
+        field("total_s") <= wall_s,
+        "fleet.triple spans sum to {} s inside a {wall_s} s process",
+        field("total_s")
+    );
+}
