@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Duration;
-use usta_catalog::{device_to_toml, parse_device, Catalog};
+use usta_catalog::Catalog;
+use usta_device::{device_to_toml, parse_device};
 
 /// The committed catalog directory at the repository root.
 fn committed_catalog_dir() -> PathBuf {

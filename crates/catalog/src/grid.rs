@@ -11,9 +11,10 @@
 
 use std::fmt::Write as _;
 
-use crate::device::{quoted, Section};
-use crate::error::CatalogError;
-use crate::toml;
+use usta_device::device::{quoted, Section};
+use usta_device::toml;
+use usta_device::CatalogError;
+
 use crate::GRID_SCHEMA;
 
 /// A named scenario grid: the axes a sweep crosses, as written in the

@@ -1,36 +1,39 @@
-//! # usta-catalog — file-driven device & scenario catalogs
+//! # usta-catalog — catalog directories: device files and scenario grids
 //!
-//! Every device and scenario grid used to be compiled into the binary;
-//! growing the fleet toward "hundreds of devices × scenarios without
-//! recompiling" needs a declarative catalog on disk. This crate is
-//! that catalog: a zero-dependency, strict TOML-subset parser (written
-//! in the same in-house style as the telemetry crate's JSON parser)
-//! that deserializes [`usta_device::DeviceSpec`] — clusters, OPP
-//! tables, GPU/display domains, thermal topology — and
-//! [`ScenarioGridSpec`] sweep axes from `.toml` files, with structured
-//! [`CatalogError`]s carrying file/line/key context and the full
-//! `DeviceSpec::validate` suite running on every load.
+//! Growing the fleet toward "hundreds of devices × scenarios without
+//! recompiling" needs a declarative catalog on disk. A [`Catalog`] is
+//! what one directory of `.toml` files parses into: device specs, read
+//! by `usta-device`'s strict loader ([`usta_device::parse_device`], the
+//! same one that builds the built-ins from the committed
+//! `catalog/*.toml`), and [`ScenarioGridSpec`] sweep axes, read by this
+//! crate's [`grid`] module. Every failure is a structured
+//! [`usta_device::CatalogError`] carrying file/line/key context, and
+//! the full `DeviceSpec::validate` suite runs on every device load.
 //!
-//! A [`Catalog`] is what one directory of files parses into;
-//! [`Catalog::install`] merges its devices over the built-ins in the
-//! process-wide registry (`usta_device::install`), after which every
-//! consumer of `usta_device::by_id` — scenario resolution, sweeps,
-//! `--device all` expansion, error listings — sees the merged set. The
-//! file round trip is exact: serializing a built-in with
-//! [`device_to_toml`] and re-parsing yields an **equal** spec, so a
-//! sweep over `catalog/nexus4.toml` is bit-identical to one over the
-//! compiled-in nexus4.
+//! [`Catalog::install`] merges a catalog's devices over the built-ins
+//! in the process-wide registry (`usta_device::install`), after which
+//! every consumer of `usta_device::by_id` — scenario resolution,
+//! sweeps, `--device all` expansion, error listings — sees the merged
+//! set. The built-ins are the committed files themselves, so a sweep
+//! with `--catalog catalog/` is bit-identical to one without.
 //!
 //! ```
-//! use usta_catalog::{device_to_toml, parse_device};
+//! use usta_catalog::{grid_to_toml, parse_grid, ScenarioGridSpec};
 //!
-//! let nexus4 = usta_device::nexus4();
-//! let text = device_to_toml(&nexus4);
-//! assert_eq!(parse_device(&text).expect("round-trips"), nexus4);
+//! let grid = ScenarioGridSpec {
+//!     name: "tiny".to_owned(),
+//!     benchmarks: vec!["YouTube".to_owned()],
+//!     ambients: vec!["office".to_owned()],
+//!     cases: vec!["naked".to_owned()],
+//!     charging: vec![false],
+//!     hand_held: vec![true],
+//! };
+//! let text = grid_to_toml(&grid);
+//! assert_eq!(parse_grid(&text).expect("round-trips"), grid);
 //! ```
 //!
-//! Dependency direction: this crate sits beside `usta-device` (whose
-//! specs it de/serializes) and below `usta-fleet` (which resolves grid
+//! Dependency direction: this crate sits above `usta-device` (whose
+//! loader it runs per file) and below `usta-fleet` (which resolves grid
 //! axis strings against its scenario enums and exposes the CLI flags).
 
 #![forbid(unsafe_code)]
@@ -40,20 +43,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use usta_device::{DeviceSpec, Registry};
+use usta_device::{device, toml, CatalogError, DeviceSpec, DEVICE_SCHEMA};
 
-pub mod device;
-pub mod error;
 pub mod grid;
-mod intern;
-pub mod toml;
 
-pub use device::{device_to_toml, material_name, parse_device};
-pub use error::{CatalogError, ErrorKind};
 pub use grid::{grid_to_toml, parse_grid, ScenarioGridSpec};
 
-/// The `schema` value of a device file.
-pub const DEVICE_SCHEMA: &str = "usta-catalog/device/v1";
 /// The `schema` value of a scenario-grid file.
 pub const GRID_SCHEMA: &str = "usta-catalog/grid/v1";
 
@@ -191,46 +186,14 @@ impl Catalog {
     }
 }
 
-/// Catalog-aware construction for [`usta_device::Registry`].
-///
-/// An extension trait because inherent impls cannot cross crates:
-/// `usta-device` knows nothing about files, `usta-catalog` adds the
-/// file-driven constructor.
-pub trait RegistryExt: Sized {
-    /// Builds a registry holding the built-ins with the catalog
-    /// directory's entries merged over them (same-id file entries
-    /// replace built-ins, new ids append).
-    ///
-    /// This is a *local* registry — unlike [`Catalog::install`] it
-    /// does not touch the process-wide one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CatalogError`] for any load failure (see
-    /// [`Catalog::load_dir`]).
-    fn from_dir(dir: impl AsRef<Path>) -> Result<Self, CatalogError>;
-}
-
-impl RegistryExt for Registry {
-    fn from_dir(dir: impl AsRef<Path>) -> Result<Registry, CatalogError> {
-        let catalog = Catalog::load_dir(dir)?;
-        let mut specs: Vec<DeviceSpec> = Registry::builtin().specs().to_vec();
-        for device in &catalog.devices {
-            match specs
-                .iter_mut()
-                .find(|s| s.id.eq_ignore_ascii_case(device.id))
-            {
-                Some(slot) => *slot = device.clone(),
-                None => specs.push(device.clone()),
-            }
-        }
-        Registry::new(specs).map_err(|e| CatalogError::device(0, "device", e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use usta_device::{by_id, device_to_toml, ErrorKind};
+
+    fn builtin_file(id: &str) -> String {
+        device_to_toml(by_id(id).expect("built-in"))
+    }
 
     fn write_dir(files: &[(&str, String)]) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -256,8 +219,8 @@ mod tests {
             hand_held: vec![true],
         };
         let dir = write_dir(&[
-            ("b-nexus4.toml", device_to_toml(&usta_device::nexus4())),
-            ("a-octa.toml", device_to_toml(&usta_device::flagship_octa())),
+            ("b-nexus4.toml", builtin_file("nexus4")),
+            ("a-octa.toml", builtin_file("flagship-octa")),
             ("z-grid.toml", grid_to_toml(&grid)),
         ]);
         let catalog = Catalog::load_dir(&dir).expect("loads");
@@ -272,8 +235,8 @@ mod tests {
     #[test]
     fn duplicate_id_across_files_is_rejected() {
         let dir = write_dir(&[
-            ("one.toml", device_to_toml(&usta_device::nexus4())),
-            ("two.toml", device_to_toml(&usta_device::nexus4())),
+            ("one.toml", builtin_file("nexus4")),
+            ("two.toml", builtin_file("nexus4")),
         ]);
         let error = Catalog::load_dir(&dir).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.id"));
@@ -294,28 +257,5 @@ mod tests {
     fn missing_directory_is_an_io_error() {
         let error = Catalog::load_dir("/nonexistent/usta-catalog").unwrap_err();
         assert!(matches!(error.kind, ErrorKind::Io(_)));
-    }
-
-    #[test]
-    fn registry_from_dir_merges_over_builtins() {
-        let mut renamed = usta_device::nexus4();
-        renamed.description = "overridden from file";
-        let fresh = {
-            let mut spec = usta_device::budget_quad();
-            spec.id = "from-dir-only";
-            spec
-        };
-        let dir = write_dir(&[
-            ("nexus4.toml", device_to_toml(&renamed)),
-            ("fresh.toml", device_to_toml(&fresh)),
-        ]);
-        let registry = Registry::from_dir(&dir).expect("merges");
-        assert_eq!(registry.len(), usta_device::NAMES.len() + 1);
-        assert_eq!(
-            registry.by_id("nexus4").map(|d| d.description),
-            Some("overridden from file")
-        );
-        assert!(registry.by_id("from-dir-only").is_some());
-        fs::remove_dir_all(&dir).ok();
     }
 }

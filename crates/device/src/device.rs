@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 
-use usta_device::{
+use crate::{
     BatterySpec, ClusterSpec, CpuPowerSpec, DeviceError, DeviceSpec, DisplaySpec, GpuDomainSpec,
     GpuPowerSpec, OppPoint, ThermalNodeSpec, ThermalSpec,
 };
@@ -82,7 +82,7 @@ pub fn parse_device(text: &str) -> Result<DeviceSpec, CatalogError> {
 
 /// Deserializes an already-parsed document (schema key assumed
 /// checked) into a validated [`DeviceSpec`].
-pub(crate) fn device_from_document(doc: &Table) -> Result<DeviceSpec, CatalogError> {
+pub fn device_from_document(doc: &Table) -> Result<DeviceSpec, CatalogError> {
     let root = Section::new(doc, "");
     root.check_keys(&["schema", "device"])?;
     let device = root.table("device")?;
@@ -361,20 +361,23 @@ fn attribute_parameter(name: &str, lines: &SectionLines) -> Option<(&'static str
 // ---------------------------------------------------------------------------
 
 /// A parsed table plus the dotted path it sits at, for error context.
-pub(crate) struct Section<'a> {
+#[derive(Debug)]
+pub struct Section<'a> {
     pub(crate) table: &'a Table,
     path: String,
 }
 
 impl<'a> Section<'a> {
-    pub(crate) fn new(table: &'a Table, path: impl Into<String>) -> Self {
+    /// Wraps `table`, which sits at dotted key path `path`.
+    pub fn new(table: &'a Table, path: impl Into<String>) -> Self {
         Section {
             table,
             path: path.into(),
         }
     }
 
-    pub(crate) fn key_path(&self, key: &str) -> String {
+    /// The dotted key path of `key` inside this section.
+    pub fn key_path(&self, key: &str) -> String {
         if self.path.is_empty() {
             key.to_owned()
         } else {
@@ -394,7 +397,8 @@ impl<'a> Section<'a> {
         }
     }
 
-    pub(crate) fn require_item(&self, key: &str) -> Result<&'a Item, CatalogError> {
+    /// The value at `key`, or a schema error when it is missing.
+    pub fn require_item(&self, key: &str) -> Result<&'a Item, CatalogError> {
         self.item(key)?.ok_or_else(|| {
             CatalogError::schema(
                 self.table.line,
@@ -413,7 +417,7 @@ impl<'a> Section<'a> {
     }
 
     /// Errors on any key not in `allowed`, naming the key and its line.
-    pub(crate) fn check_keys(&self, allowed: &[&str]) -> Result<(), CatalogError> {
+    pub fn check_keys(&self, allowed: &[&str]) -> Result<(), CatalogError> {
         for (key, node) in self.table.entries() {
             if !allowed.contains(&key) {
                 return Err(CatalogError::schema(
@@ -426,7 +430,8 @@ impl<'a> Section<'a> {
         Ok(())
     }
 
-    pub(crate) fn string(&self, key: &str) -> Result<String, CatalogError> {
+    /// The required string at `key`.
+    pub fn string(&self, key: &str) -> Result<String, CatalogError> {
         let item = self.require_item(key)?;
         match &item.value {
             Value::Str(s) => Ok(s.clone()),
@@ -493,7 +498,8 @@ impl<'a> Section<'a> {
             .collect()
     }
 
-    pub(crate) fn str_list(&self, key: &str) -> Result<Vec<String>, CatalogError> {
+    /// The required array of strings at `key`.
+    pub fn str_list(&self, key: &str) -> Result<Vec<String>, CatalogError> {
         let (item, values) = self.list(key)?;
         values
             .iter()
@@ -504,7 +510,8 @@ impl<'a> Section<'a> {
             .collect()
     }
 
-    pub(crate) fn bool_list(&self, key: &str) -> Result<Vec<bool>, CatalogError> {
+    /// The required array of booleans at `key`.
+    pub fn bool_list(&self, key: &str) -> Result<Vec<bool>, CatalogError> {
         let (item, values) = self.list(key)?;
         values
             .iter()
@@ -515,7 +522,8 @@ impl<'a> Section<'a> {
             .collect()
     }
 
-    pub(crate) fn table(&self, key: &str) -> Result<Section<'a>, CatalogError> {
+    /// The required sub-table at `key`.
+    pub fn table(&self, key: &str) -> Result<Section<'a>, CatalogError> {
         match self.table.get(key) {
             Some(Node::Table(table)) => Ok(Section::new(table, self.key_path(key))),
             Some(node) => Err(CatalogError::schema(
@@ -636,7 +644,7 @@ fn triple_rows(
 
 /// Quotes a string for a catalog file, escaping what the parser
 /// unescapes.
-pub(crate) fn quoted(s: &str) -> String {
+pub fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -679,11 +687,7 @@ fn str_array(values: impl IntoIterator<Item = &'static str>) -> String {
 pub fn device_to_toml(spec: &DeviceSpec) -> String {
     let mut out = String::new();
     let w = &mut out;
-    let _ = writeln!(
-        w,
-        "# {} — exported from the built-in registry by catalog_export.",
-        spec.id
-    );
+    let _ = writeln!(w, "# {} — device catalog entry.", spec.id);
     let _ = writeln!(w, "schema = {}", quoted(DEVICE_SCHEMA));
     let _ = writeln!(w);
     let _ = writeln!(w, "[device]");
@@ -829,21 +833,20 @@ pub fn device_to_toml(spec: &DeviceSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_device::{budget_quad, flagship_octa, nexus4, prime_flagship, tablet_10in};
+    use crate::registry::{builtin, Registry};
+    use crate::MAX_CLUSTER_CORES;
+
+    fn nexus4() -> DeviceSpec {
+        builtin("nexus4")
+    }
 
     #[test]
     fn every_builtin_round_trips_to_an_equal_spec() {
-        for spec in [
-            nexus4(),
-            flagship_octa(),
-            prime_flagship(),
-            tablet_10in(),
-            budget_quad(),
-        ] {
-            let text = device_to_toml(&spec);
+        for spec in Registry::builtin().specs() {
+            let text = device_to_toml(spec);
             let parsed = parse_device(&text)
                 .unwrap_or_else(|e| panic!("{} serialization re-parses: {e}", spec.id));
-            assert_eq!(parsed, spec, "{} round-trips", spec.id);
+            assert_eq!(&parsed, spec, "{} round-trips", spec.id);
         }
     }
 
@@ -910,6 +913,32 @@ mod tests {
         for &(name, material) in &MATERIALS {
             assert_eq!(material_from_name(name), Some(material));
             assert_eq!(material_name(material), name);
+        }
+    }
+
+    #[test]
+    fn oversized_core_count_is_a_structured_error() {
+        // Past the bound a sweep would size per-core buffers from the
+        // file: i64::MAX overflows a Vec's capacity, 1e11 aborts on
+        // allocation. Both must stop at the loader.
+        let with_cores = |cores: &str| {
+            device_to_toml(&nexus4()).replace("cores = 4\n", &format!("cores = {cores}\n"))
+        };
+        assert!(parse_device(&with_cores(&MAX_CLUSTER_CORES.to_string())).is_ok());
+        let just_over = (MAX_CLUSTER_CORES + 1).to_string();
+        for cores in [just_over.as_str(), "100000000000", "9223372036854775807"] {
+            let error = parse_device(&with_cores(cores)).unwrap_err();
+            assert_eq!(error.key.as_deref(), Some("device.cluster"), "{cores}");
+            assert!(
+                matches!(
+                    error.kind,
+                    crate::ErrorKind::Device(DeviceError::InvalidParameter {
+                        name: "cluster.cores",
+                        ..
+                    })
+                ),
+                "{cores}: {error}"
+            );
         }
     }
 }

@@ -21,12 +21,19 @@
 //!
 //! and a [`Registry`] validates specs at construction (monotone OPP
 //! power, positive capacitances and conductances, per-cluster die
-//! nodes, connected thermal graph) and resolves ids for CLIs. The
-//! built-in catalog ([`NAMES`]) ships five devices:
+//! nodes, connected thermal graph) and resolves ids for CLIs.
+//!
+//! Devices are data files. [`parse_device`] reads the strict TOML
+//! subset of a catalog device file (`schema = "usta-catalog/device/v1"`)
+//! into a validated spec, with structured [`CatalogError`]s carrying
+//! line and key context, and [`device_to_toml`] writes one back. The
+//! built-in catalog ([`NAMES`]) is the committed `catalog/*.toml` files,
+//! embedded at compile time and parsed once per process — the only
+//! place their numbers live. It ships five devices:
 //!
 //! | id | domains | die nodes | class |
 //! |---|---|---|---|
-//! | `nexus4` | 1 (`cpu`, 4 cores) | `cpu` | the paper's quad-core handset, bit-for-bit the seed's calibrated constants |
+//! | `nexus4` | 1 (`cpu`, 4 cores) | `cpu` | the paper's quad-core handset, with the calibrated constants |
 //! | `flagship-octa` | 2 (`big`+`little`, 4+4 cores) | `die_big`, `die_little` | a big.LITTLE octa-core flagship with per-cluster frequency domains |
 //! | `prime-flagship` | 3 (`prime`+`big`+`little`, 1+3+4 cores) | `die_prime`, `die_big`, `die_little` | a three-domain flagship with a 2.84 GHz prime core |
 //! | `tablet-10in` | 1 (`cpu`, 6 cores) | `cpu` | a tablet with several times the phone's thermal mass |
@@ -54,19 +61,24 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod catalog;
+pub mod device;
 pub mod error;
+mod intern;
 pub mod registry;
 pub mod spec;
 pub mod thermal;
+pub mod toml;
 
-pub use catalog::{budget_quad, flagship_octa, nexus4, prime_flagship, tablet_10in};
-pub use error::DeviceError;
+pub use device::{device_to_toml, material_name, parse_device};
+pub use error::{CatalogError, DeviceError, ErrorKind};
 pub use registry::{
     by_id, install, merged, merged_ids, try_by_id, Registry, UnknownDeviceError, NAMES,
 };
 pub use spec::{
     BatterySpec, ClusterSpec, CpuPowerSpec, DeviceSpec, DisplaySpec, GpuDomainSpec, GpuPowerSpec,
-    OppPoint, MAX_CPU_CLUSTERS, MAX_FREQ_DOMAINS,
+    OppPoint, MAX_CLUSTER_CORES, MAX_CPU_CLUSTERS, MAX_FREQ_DOMAINS,
 };
 pub use thermal::{ThermalNodeSpec, ThermalSpec};
+
+/// The `schema` value of a device file.
+pub const DEVICE_SCHEMA: &str = "usta-catalog/device/v1";

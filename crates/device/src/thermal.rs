@@ -1,12 +1,10 @@
 //! The thermal side of a device spec: a declarative, validated RC
 //! topology with **one die node per CPU cluster**.
 //!
-//! The historical spec carried `usta_thermal::PhoneThermalParams` — a
-//! fixed seven-node network whose single `cpu` node absorbed every
-//! cluster's power, so a big.LITTLE part's clusters were thermally
-//! indistinguishable. [`ThermalSpec`] replaces it with named nodes,
-//! by-name conductance edges, and explicit role designations (die
-//! nodes big-first, skin, screen, exterior back nodes). Validation at
+//! [`ThermalSpec`] declares named nodes, by-name conductance edges, and
+//! explicit role designations (die nodes big-first, skin, screen,
+//! exterior back nodes), so each cluster of a big.LITTLE part heats its
+//! own die node. Validation at
 //! registry construction guarantees positive capacitances and
 //! conductances, resolvable names, one die node per declared cluster,
 //! and a connected graph (every node has a path to ambient);
@@ -353,36 +351,26 @@ fn valid_node_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{flagship_octa, nexus4};
-    use usta_thermal::PhoneThermalParams;
-
-    #[test]
-    fn nexus4_thermal_spec_reconstructs_the_calibrated_default_exactly() {
-        // The migration contract: the declarative spec lowers to the
-        // very topology the seed's hardwired params produce.
-        assert_eq!(
-            nexus4().thermal.topology(),
-            PhoneThermalParams::default().topology()
-        );
-    }
+    use crate::registry::builtin;
+    use usta_thermal::{DeviceThermalModel, HeatLoad};
 
     #[test]
     fn validation_catches_unknown_names() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.couplings[0].0 = "die";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::UnknownThermalNode("die".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.skin_node = "palm";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::UnknownThermalNode("palm".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.die_nodes = vec!["hotspot"];
         assert_eq!(
             s.validate(1),
@@ -392,7 +380,7 @@ mod tests {
 
     #[test]
     fn validation_requires_one_die_node_per_cluster() {
-        let s = nexus4().thermal;
+        let s = builtin("nexus4").thermal;
         assert_eq!(
             s.validate(2),
             Err(DeviceError::DieNodeMismatch {
@@ -400,7 +388,7 @@ mod tests {
                 clusters: 2
             })
         );
-        let mut two = flagship_octa().thermal;
+        let mut two = builtin("flagship-octa").thermal;
         two.die_nodes.pop();
         assert_eq!(
             two.validate(2),
@@ -413,7 +401,7 @@ mod tests {
 
     #[test]
     fn duplicate_die_designations_are_rejected() {
-        let mut s = flagship_octa().thermal;
+        let mut s = builtin("flagship-octa").thermal;
         s.die_nodes[1] = s.die_nodes[0];
         assert_eq!(
             s.validate(2),
@@ -423,14 +411,14 @@ mod tests {
 
     #[test]
     fn bad_node_names_and_duplicates_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.nodes[0].name = "CPU";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::InvalidThermalNodeName("CPU".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.nodes[1].name = s.nodes[0].name;
         assert!(matches!(
             s.validate(1),
@@ -440,14 +428,14 @@ mod tests {
 
     #[test]
     fn self_and_duplicate_couplings_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.couplings.push(("board", "board", 0.5));
         assert!(matches!(
             s.validate(1),
             Err(DeviceError::InvalidThermalCoupling(ref m)) if m.contains("itself")
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         let (a, b, g) = s.couplings[0];
         s.couplings.push((b, a, g));
         assert!(matches!(
@@ -458,7 +446,7 @@ mod tests {
 
     #[test]
     fn disconnected_nodes_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.nodes.push(ThermalNodeSpec {
             name: "camera",
             capacitance: 2.0,
@@ -474,7 +462,7 @@ mod tests {
 
     #[test]
     fn non_positive_parameters_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.nodes[3].capacitance = 0.0;
         assert!(matches!(
             s.validate(1),
@@ -484,7 +472,7 @@ mod tests {
             })
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.couplings[0].2 = -0.1;
         assert!(matches!(
             s.validate(1),
@@ -494,11 +482,11 @@ mod tests {
             })
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.ambient_links.clear();
         assert!(s.validate(1).is_err());
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin("nexus4").thermal;
         s.hand.blocked_fraction = 1.5;
         assert!(matches!(
             s.validate(1),
@@ -511,11 +499,137 @@ mod tests {
 
     #[test]
     fn summaries_and_lookups() {
-        let s = nexus4().thermal;
+        let s = builtin("nexus4").thermal;
         assert_eq!(s.node_index("cpu"), Some(0));
         assert_eq!(s.node_index("screen"), Some(6));
         assert_eq!(s.node_index("palm"), None);
         assert!(s.total_capacitance() > 100.0);
         assert!(s.total_ambient_conductance() > 0.2);
+    }
+
+    // The calibrated nexus4 network under the runtime model: the
+    // physical behaviours the reproduction relies on.
+
+    fn nexus4_model() -> DeviceThermalModel {
+        DeviceThermalModel::new(builtin("nexus4").thermal.topology()).unwrap()
+    }
+
+    fn heavy() -> HeatLoad {
+        HeatLoad {
+            die_w: vec![3.4],
+            gpu_w: 1.3,
+            display_w: 1.0,
+            battery_w: 0.35,
+            board_w: 0.25,
+        }
+    }
+
+    #[test]
+    fn heavy_load_reaches_hot_skin_in_minutes_not_hours() {
+        let mut p = nexus4_model();
+        p.set_heat(heavy());
+        p.step(12.0 * 60.0);
+        let skin = p.skin_temperature();
+        assert!(
+            skin > Celsius(38.0) && skin < Celsius(47.0),
+            "12-minute heavy-load skin temperature {skin} outside plausible band"
+        );
+    }
+
+    #[test]
+    fn die_is_hottest_then_interior_then_surfaces() {
+        let mut p = nexus4_model();
+        p.set_heat(heavy());
+        p.step(900.0);
+        let die = p.die_temperature(0);
+        let pkg = p.node_temperature_by_name("package").unwrap();
+        let skin = p.skin_temperature();
+        assert!(die > pkg, "die {die} should exceed package {pkg}");
+        assert!(pkg > skin, "package {pkg} should exceed skin {skin}");
+        assert!(skin > p.ambient());
+    }
+
+    #[test]
+    fn idle_phone_cools_toward_ambient() {
+        let mut p = nexus4_model();
+        p.step(3600.0 * 4.0);
+        assert!((p.skin_temperature() - p.ambient()).abs() < 0.05);
+    }
+
+    #[test]
+    fn rise_time_constant_is_minutes() {
+        // The defining property of the skin-temperature problem: the skin
+        // responds on a minutes scale, much slower than the die.
+        let mut p = nexus4_model();
+        p.set_heat(heavy());
+        let ss = p.steady_state().unwrap()[p.topology().roles.skin];
+        let start = p.skin_temperature();
+        let target = start.value() + 0.63 * (ss - start);
+        let mut t = 0.0;
+        while p.skin_temperature().value() < target && t < 3600.0 {
+            p.step(5.0);
+            t += 5.0;
+        }
+        assert!(
+            (120.0..1800.0).contains(&t),
+            "skin 63% rise time {t} s should be minutes-scale"
+        );
+    }
+
+    #[test]
+    fn touch_changes_exterior_temperature_only_slightly() {
+        // Reproduces the paper's §3.A observation: holding the phone
+        // while it is actively used barely moves the skin temperature.
+        let mut held = nexus4_model();
+        let mut free = nexus4_model();
+        held.set_hand_contact(true);
+        for p in [&mut held, &mut free] {
+            p.set_heat(heavy());
+            p.step(600.0);
+        }
+        let delta = (held.skin_temperature() - free.skin_temperature()).abs();
+        assert!(
+            delta < 0.8,
+            "touch shifted skin temperature by {delta} K — should be minor"
+        );
+    }
+
+    #[test]
+    fn hand_warms_a_cold_idle_phone() {
+        // Off and not touched vs off and held: the hand warms the cover
+        // toward palm temperature (the paper's turned-off experiments).
+        let mut held = nexus4_model();
+        held.reset_to(Celsius(24.0));
+        held.set_hand_contact(true);
+        held.step(1200.0);
+        assert!(
+            held.skin_temperature() > Celsius(24.3),
+            "palm should warm an idle cover, got {}",
+            held.skin_temperature()
+        );
+    }
+
+    #[test]
+    fn display_power_heats_screen_more_than_skin() {
+        let mut p = nexus4_model();
+        p.set_heat(HeatLoad {
+            die_w: vec![0.0],
+            display_w: 1.2,
+            ..HeatLoad::default()
+        });
+        p.step(1200.0);
+        assert!(p.screen_temperature() > p.skin_temperature());
+    }
+
+    #[test]
+    fn battery_charging_heats_the_back() {
+        let mut p = nexus4_model();
+        p.set_heat(HeatLoad {
+            die_w: vec![0.0],
+            battery_w: 1.0,
+            ..HeatLoad::default()
+        });
+        p.step(1800.0);
+        assert!(p.skin_temperature() > p.screen_temperature());
     }
 }

@@ -247,7 +247,7 @@ fn list_devices_text() -> String {
             domains.join(", "),
             spec.thermal.nodes.len(),
             spec.thermal.die_nodes.join(", "),
-            usta_catalog::material_name(spec.back_cover),
+            usta_device::material_name(spec.back_cover),
         ));
         s.push_str(&format!("  {:<16} {}\n", "", spec.description));
     }

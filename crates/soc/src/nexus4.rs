@@ -5,8 +5,9 @@
 //! running Android 4.3 with twelve cpufreq operating points between
 //! 384 MHz and 1.512 GHz (§3.B of the paper).
 //!
-//! Since the device catalog landed, the canonical numbers live in
-//! [`usta_device::catalog::nexus4`]; this module keeps the seed's API
+//! Since the device catalog landed, the canonical numbers live in the
+//! `catalog/nexus4.toml` device file, served by
+//! [`usta_device::by_id`]`("nexus4")`; this module keeps the seed's API
 //! as thin wrappers over [`crate::spec`] applied to that spec, so
 //! existing callers (and the Table-1 reproduction) see bit-identical
 //! models.

@@ -14,8 +14,8 @@
 //! C_i · dT_i/dt = Σ_j G_ij (T_j − T_i) + G_amb,i (T_amb − T_i) + P_i
 //! ```
 //!
-//! with either sub-stepped forward Euler (default, kept inside the
-//! stability limit automatically) or classic RK4.
+//! with sub-stepped forward Euler, kept inside the stability limit
+//! automatically.
 //!
 //! ## Quick start
 //!
@@ -38,9 +38,12 @@
 //! # }
 //! ```
 //!
-//! The [`phone`] module provides a calibrated smartphone network
-//! ([`PhoneThermalModel`]) whose back-cover ("skin") and screen nodes play
-//! the role of the paper's external thermistors.
+//! The [`topology`] module lifts a network to a device: a
+//! [`ThermalTopology`] names each node's role (one die per CPU cluster,
+//! package, board, battery, screen, and the back-cover "skin" node the
+//! user touches), and [`DeviceThermalModel`] steps it under a per-role
+//! [`HeatLoad`]. The skin and screen nodes play the role of the paper's
+//! external thermistors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,16 +51,15 @@
 
 pub mod analysis;
 pub mod error;
-pub mod integrator;
+mod integrator;
 pub mod materials;
 pub mod network;
-pub mod phone;
 pub mod topology;
 pub mod units;
 
 pub use error::ThermalError;
-pub use integrator::IntegrationMethod;
 pub use network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
-pub use phone::{HandContact, HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
-pub use topology::{DeviceThermalModel, HeatLoad, NodeRoles, ThermalNode, ThermalTopology};
+pub use topology::{
+    DeviceThermalModel, HandContact, HeatLoad, NodeRoles, ThermalNode, ThermalTopology,
+};
 pub use units::Celsius;

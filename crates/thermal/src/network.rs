@@ -9,7 +9,7 @@
 //! near 33 °C).
 
 use crate::error::ThermalError;
-use crate::integrator::{self, IntegrationMethod};
+use crate::integrator;
 use crate::units::Celsius;
 
 /// Opaque handle to a node of a [`ThermalNetwork`].
@@ -65,7 +65,6 @@ pub struct ThermalNetworkBuilder {
     couplings: Vec<(usize, usize, f64)>,
     ambient_links: Vec<(usize, f64)>,
     ambient: Celsius,
-    method: IntegrationMethod,
 }
 
 impl ThermalNetworkBuilder {
@@ -76,14 +75,7 @@ impl ThermalNetworkBuilder {
             couplings: Vec::new(),
             ambient_links: Vec::new(),
             ambient,
-            method: IntegrationMethod::Euler,
         }
-    }
-
-    /// Selects the integration method (forward Euler by default).
-    pub fn integration_method(&mut self, method: IntegrationMethod) -> &mut Self {
-        self.method = method;
-        self
     }
 
     /// Adds a dynamic node with heat capacity `capacitance` (J/K) starting
@@ -273,13 +265,12 @@ impl ThermalNetworkBuilder {
             ambient: self.ambient,
             temps: self.nodes.iter().map(|s| s.initial.value()).collect(),
             power: vec![0.0; n],
-            method: self.method,
             // One tenth of the explicit-Euler stability bound keeps the
             // scheme stable, monotonic, and accurate to well under a
             // kelvin even for the fastest node of the network.
             max_step: 0.1 * stable_dt,
             elapsed: 0.0,
-            scratch: vec![0.0; 5 * n],
+            scratch: vec![0.0; n],
         })
     }
 }
@@ -295,7 +286,6 @@ pub struct ThermalNetwork {
     ambient: Celsius,
     temps: Vec<f64>,
     power: Vec<f64>,
-    method: IntegrationMethod,
     max_step: f64,
     elapsed: f64,
     scratch: Vec<f64>,
@@ -452,16 +442,13 @@ impl ThermalNetwork {
         out
     }
 
-    /// Advances the network by `dt` seconds with the configured method,
+    /// Advances the network by `dt` seconds with forward Euler,
     /// sub-stepping as needed for stability. `dt <= 0` is a no-op.
     pub fn step(&mut self, dt: f64) {
         if dt.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !dt.is_finite() {
             return;
         }
-        match self.method {
-            IntegrationMethod::Euler => integrator::euler_step(self, dt),
-            IntegrationMethod::Rk4 => integrator::rk4_step(self, dt),
-        }
+        integrator::euler_step(self, dt);
         self.elapsed += dt;
     }
 
@@ -494,7 +481,7 @@ impl ThermalNetwork {
     /// Splits the network into the pieces an integrator needs to hold
     /// simultaneously: mutable temperatures, the resident scratch
     /// buffer, the immutable derivative parameters, and the sub-step
-    /// bound. Borrow-splitting here is what lets the integrators work
+    /// bound. Borrow-splitting here is what lets the integrator work
     /// in place instead of moving the scratch vector out and back every
     /// step.
     pub(crate) fn integration_state(&mut self) -> (&mut [f64], &mut [f64], NetParams<'_>, f64) {

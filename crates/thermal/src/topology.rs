@@ -1,27 +1,56 @@
 //! Data-driven device thermal topology.
 //!
-//! [`PhoneThermalModel`](crate::PhoneThermalModel) hardwires the seven
-//! nodes of the paper's Nexus 4; this module promotes that wiring to
-//! data. A [`ThermalTopology`] declares the nodes (named capacitances),
-//! the conductance edges between them and to ambient, and — crucially —
-//! the **roles** the device simulator needs to route heat and read
-//! sensors: one die node *per CPU cluster* (so a big.LITTLE part's big
-//! and LITTLE clusters heat separate RC nodes), the package/board/
-//! battery/screen injection points, the skin node (what the user's palm
-//! touches, and where the hand model attaches), and the exterior
-//! back-cover nodes that cases re-parameterise.
+//! A [`ThermalTopology`] declares a device's thermal network as data:
+//! the nodes (named capacitances), the conductance edges between them
+//! and to ambient, and — crucially — the **roles** the device
+//! simulator needs to route heat and read sensors: one die node *per
+//! CPU cluster* (so a big.LITTLE part's big and LITTLE clusters heat
+//! separate RC nodes), the package/board/battery/screen injection
+//! points, the skin node (what the user's palm touches, and where the
+//! [`HandContact`] model attaches), and the exterior back-cover nodes
+//! that cases re-parameterise. Device topologies are declared in
+//! `usta-device`; the calibrated Nexus 4 network is its `nexus4`
+//! catalog entry.
 //!
 //! [`DeviceThermalModel`] is the runtime: it builds a
 //! [`ThermalNetwork`] from the topology and steps it under a
-//! [`HeatLoad`] whose CPU term is a per-die vector. A single-die
-//! topology driven through the [`crate::PhoneThermalModel`]-shaped API
-//! is bit-identical to the historical model — the golden-bit tests in
-//! `usta-sim` pin that contract.
+//! [`HeatLoad`] whose CPU term is a per-die vector.
 
 use crate::error::ThermalError;
 use crate::network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
-use crate::phone::HandContact;
 use crate::units::Celsius;
+
+/// How a hand holds the device.
+///
+/// A hand is close to a fixed-temperature reservoir (blood perfusion pins
+/// the palm near 33.5 °C) that simultaneously *blocks* part of the skin
+/// node's convective surface. The two effects nearly cancel at typical
+/// operating temperatures — which is exactly the paper's §3.A finding
+/// that touch barely changes exterior temperatures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HandContact {
+    /// Palm temperature (°C). Human palms sit near 33–34 °C.
+    pub palm_temperature: Celsius,
+    /// Conductance of the palm–cover contact, W/K.
+    pub contact_conductance: f64,
+    /// Fraction of the skin node's ambient conductance blocked by the
+    /// palm.
+    pub blocked_fraction: f64,
+}
+
+impl Default for HandContact {
+    fn default() -> HandContact {
+        // Balanced so conduction to the palm cancels the blocked
+        // convection near 40 °C — the operating region of an actively
+        // used phone — reproducing the paper's "touch barely matters"
+        // observation while still letting a palm warm a cold idle cover.
+        HandContact {
+            palm_temperature: Celsius(33.5),
+            contact_conductance: 0.025,
+            blocked_fraction: 0.12,
+        }
+    }
+}
 
 /// One node of a topology: a named heat capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,24 +219,6 @@ pub struct HeatLoad {
 }
 
 impl HeatLoad {
-    /// A single-die load (the historical [`HeatInput`](crate::HeatInput)
-    /// shape).
-    pub fn single(
-        cpu_w: f64,
-        gpu_w: f64,
-        display_w: f64,
-        battery_w: f64,
-        board_w: f64,
-    ) -> HeatLoad {
-        HeatLoad {
-            die_w: vec![cpu_w],
-            gpu_w,
-            display_w,
-            battery_w,
-            board_w,
-        }
-    }
-
     /// Total heat entering the device, in watts.
     pub fn total(&self) -> f64 {
         self.die_w.iter().sum::<f64>() + self.gpu_w + self.display_w + self.battery_w + self.board_w
@@ -218,11 +229,48 @@ impl HeatLoad {
 /// [`ThermalTopology`], stepped under a [`HeatLoad`].
 ///
 /// ```
-/// use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneThermalParams};
+/// use usta_thermal::{
+///     Celsius, DeviceThermalModel, HandContact, HeatLoad, NodeRoles, ThermalNode,
+///     ThermalTopology,
+/// };
 ///
 /// # fn main() -> Result<(), usta_thermal::ThermalError> {
-/// let mut model = DeviceThermalModel::new(PhoneThermalParams::default().topology())?;
-/// model.set_heat(HeatLoad::single(3.0, 1.0, 1.0, 0.0, 0.0));
+/// // die → package → cover, with the cover (the skin) and screen
+/// // shedding heat to the room.
+/// let node = |name: &str, capacitance| ThermalNode {
+///     name: name.to_owned(),
+///     capacitance,
+/// };
+/// let topology = ThermalTopology {
+///     nodes: vec![
+///         node("cpu", 1.2),
+///         node("package", 7.0),
+///         node("cover", 20.0),
+///         node("screen", 26.0),
+///     ],
+///     couplings: vec![(0, 1, 3.0), (1, 2, 0.5), (1, 3, 0.2)],
+///     ambient_links: vec![(2, 0.1), (3, 0.13)],
+///     ambient: Celsius(24.0),
+///     initial: Celsius(28.0),
+///     hand: HandContact::default(),
+///     roles: NodeRoles {
+///         dies: vec![0],
+///         package: 1,
+///         gpu: None,
+///         board: 1,
+///         battery: 2,
+///         screen: 3,
+///         skin: 2,
+///         back: vec![2],
+///     },
+/// };
+/// let mut model = DeviceThermalModel::new(topology)?;
+/// model.set_heat(HeatLoad {
+///     die_w: vec![3.0],
+///     gpu_w: 1.0,
+///     display_w: 1.0,
+///     ..HeatLoad::default()
+/// });
 /// model.step(300.0); // five hot minutes
 /// assert!(model.skin_temperature() > model.ambient());
 /// assert!(model.hottest_die_temperature() > model.skin_temperature());
@@ -450,7 +498,6 @@ impl DeviceThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phone::{HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
 
     fn two_die_topology() -> ThermalTopology {
         // A minimal big.LITTLE slab: two dies on one package, one
@@ -493,64 +540,6 @@ mod tests {
                 skin: 3,
                 back: vec![3],
             },
-        }
-    }
-
-    #[test]
-    fn phone_params_topology_matches_the_hardwired_wiring() {
-        let params = PhoneThermalParams::default();
-        let t = params.topology();
-        assert_eq!(t.nodes.len(), 7);
-        for node in PhoneNode::ALL {
-            assert_eq!(t.node_name(node.index()), node.name());
-            assert_eq!(
-                t.nodes[node.index()].capacitance,
-                params.capacitance[node.index()]
-            );
-        }
-        assert_eq!(t.couplings.len(), params.couplings.len());
-        assert_eq!(t.roles.dies, vec![PhoneNode::Cpu.index()]);
-        assert_eq!(t.roles.skin, PhoneNode::BackMid.index());
-        assert_eq!(t.roles.screen, PhoneNode::Screen.index());
-        assert_eq!(
-            t.roles.back,
-            vec![PhoneNode::BackMid.index(), PhoneNode::BackUpper.index()]
-        );
-        assert_eq!(t.total_capacitance(), params.total_capacitance());
-        assert_eq!(
-            t.total_ambient_conductance(),
-            params.total_ambient_conductance()
-        );
-        assert_eq!(t.die_node_names(), vec!["cpu"]);
-    }
-
-    #[test]
-    fn single_die_model_is_bit_identical_to_the_phone_model() {
-        let params = PhoneThermalParams::default();
-        let mut legacy = PhoneThermalModel::new(params.clone()).unwrap();
-        let mut general = DeviceThermalModel::new(params.topology()).unwrap();
-        let heat = HeatInput {
-            cpu_w: 3.1,
-            gpu_w: 1.2,
-            display_w: 0.9,
-            battery_w: 0.3,
-            board_w: 0.2,
-        };
-        legacy.set_heat(heat);
-        general.set_heat(HeatLoad::single(3.1, 1.2, 0.9, 0.3, 0.2));
-        legacy.set_hand_contact(true);
-        general.set_hand_contact(true);
-        for _ in 0..600 {
-            legacy.step(1.0);
-            general.step(1.0);
-        }
-        for node in PhoneNode::ALL {
-            assert_eq!(
-                legacy.temperature(node).value().to_bits(),
-                general.node_temperature(node.index()).value().to_bits(),
-                "{}",
-                node.name()
-            );
         }
     }
 
@@ -653,7 +642,10 @@ mod tests {
     #[should_panic(expected = "one CPU power entry per die node")]
     fn heat_load_must_match_die_count() {
         let mut model = DeviceThermalModel::new(two_die_topology()).unwrap();
-        model.set_heat(HeatLoad::single(1.0, 0.0, 0.0, 0.0, 0.0));
+        model.set_heat(HeatLoad {
+            die_w: vec![1.0],
+            ..HeatLoad::default()
+        });
     }
 
     #[test]
@@ -666,6 +658,5 @@ mod tests {
             board_w: 0.1,
         };
         assert!((h.total() - 3.1).abs() < 1e-12);
-        assert_eq!(HeatLoad::single(1.0, 0.0, 0.0, 0.0, 0.0).die_w, vec![1.0]);
     }
 }

@@ -1,37 +1,34 @@
-//! Build a *custom* device: a tablet-sized slab with a bigger battery
-//! and more surface area, then check how its skin temperature compares
-//! with the phone under the same stress — the public thermal API is not
-//! hard-wired to the Nexus 4.
+//! Compare two catalog devices as thermal objects: the paper's Nexus 4
+//! and the 10-inch tablet, under the same sustained load. Each device's
+//! thermal network is data (`catalog/<id>.toml`); the runtime model is
+//! the same for both — the public thermal API is not hard-wired to the
+//! Nexus 4.
 //!
 //! ```sh
-//! cargo run --release -p usta-bench --example custom_phone
+//! cargo run --release -p usta-sim --example custom_phone
 //! ```
 
-use usta_thermal::{HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
+use usta_thermal::{DeviceThermalModel, HeatLoad};
+
+/// A device's thermal model, built from its registry spec.
+fn thermal_model(id: &str) -> Result<DeviceThermalModel, Box<dyn std::error::Error>> {
+    let spec = usta_device::try_by_id(id)?;
+    Ok(DeviceThermalModel::new(spec.thermal.topology())?)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The calibrated phone.
-    let mut phone = PhoneThermalModel::new(PhoneThermalParams::default())?;
+    let mut phone = thermal_model("nexus4")?;
+    let mut tablet = thermal_model("tablet-10in")?;
 
-    // A tablet: ~3x the thermal mass, ~2.2x the radiating surface.
-    let mut tablet_params = PhoneThermalParams::default();
-    for c in tablet_params.capacitance.iter_mut() {
-        *c *= 3.0;
-    }
-    for (_, g) in tablet_params.ambient_links.iter_mut() {
-        *g *= 2.2;
-    }
-    let mut tablet = PhoneThermalModel::new(tablet_params)?;
-
-    // Same sustained gaming load on both.
-    let load = HeatInput {
-        cpu_w: 2.5,
+    // Same sustained gaming load on both (each has a single CPU die).
+    let load = HeatLoad {
+        die_w: vec![2.5],
         gpu_w: 1.4,
         display_w: 1.0,
         battery_w: 0.3,
         board_w: 0.4,
     };
-    phone.set_heat(load);
+    phone.set_heat(load.clone());
     tablet.set_heat(load);
 
     println!("minutes | phone skin °C | tablet skin °C");
@@ -49,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let phone_ss = phone.steady_state()?[PhoneNode::BackMid as usize];
+    let phone_ss = phone.steady_state()?[phone.topology().roles.skin];
     println!(
         "\nphone steady-state skin would be {:.1}; the tablet's extra mass and \
          surface keep it {:.1} K cooler after half an hour.",

@@ -1,13 +1,13 @@
-//! Integration suite for the file-driven catalog: committed-file
-//! drift, exact round-trips, malformed-input robustness, the merged
-//! registry, and the golden guarantee that a device loaded from a file
-//! simulates bit-identically to its compiled-in twin.
+//! Integration suite for the file-driven catalog: committed files in
+//! canonical form, exact round-trips, malformed-input robustness, the
+//! merged registry, and the golden guarantee that a device loaded from
+//! a catalog directory simulates bit-identically to its built-in twin.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use usta_catalog::{device_to_toml, parse_device, Catalog, ErrorKind, RegistryExt};
-use usta_device::{DeviceSpec, Registry};
+use usta_catalog::Catalog;
+use usta_device::{device_to_toml, parse_device, DeviceSpec, ErrorKind, Registry, NAMES};
 use usta_fleet::{run_sweep, GridAxes, SweepConfig};
 use usta_sim::runner::{run_workload, Governor, RunConfig, RunResult};
 use usta_sim::{Device, DeviceConfig};
@@ -22,20 +22,28 @@ fn builtin_specs() -> Vec<DeviceSpec> {
     Registry::builtin().specs().to_vec()
 }
 
+fn nexus4() -> &'static DeviceSpec {
+    Registry::builtin()
+        .by_id("nexus4")
+        .expect("nexus4 is built in")
+}
+
 #[test]
 fn committed_files_match_the_serializer_exactly() {
-    // CI regenerates the five built-in files with catalog_export and
-    // diffs; this is the same check without the binary, so `cargo test`
-    // alone catches drift between code constants and committed files.
+    // The built-in files are the only copy of their numbers, kept in
+    // the canonical form the serializer writes: re-serializing the
+    // parsed spec reproduces every byte.
     let dir = committed_catalog_dir();
-    for spec in builtin_specs() {
-        let path = dir.join(format!("{}.toml", spec.id));
+    for id in NAMES {
+        let path = dir.join(format!("{id}.toml"));
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
+        let spec = parse_device(&committed)
+            .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
         assert_eq!(
-            committed,
             device_to_toml(&spec),
-            "{} drifted from the built-in spec — rerun catalog_export",
+            committed,
+            "{} is not in canonical form — rewrite it with device_to_toml",
             path.display()
         );
     }
@@ -48,7 +56,7 @@ fn committed_catalog_loads_and_round_trips_the_builtins() {
         assert_eq!(
             catalog.device(spec.id),
             Some(&spec),
-            "file-loaded {} must equal the compiled-in spec",
+            "file-loaded {} must equal the built-in spec",
             spec.id
         );
     }
@@ -90,15 +98,6 @@ fn committed_grid_resolves_against_the_fleet_enums() {
     assert_eq!(axes.charging, vec![true]);
 }
 
-#[test]
-fn registry_from_dir_merges_the_committed_catalog() {
-    let registry = Registry::from_dir(committed_catalog_dir()).expect("merges");
-    assert_eq!(registry.len(), usta_device::NAMES.len() + 1);
-    assert!(registry.by_id("sd8s-gen3").is_some());
-    // Built-ins keep their identity (files are exact exports).
-    assert_eq!(registry.by_id("nexus4"), Some(&usta_device::nexus4()));
-}
-
 /// Runs GFXBench on a device built from the given spec.
 fn gfxbench_on(spec: &DeviceSpec, seed: u64) -> RunResult {
     let config = DeviceConfig {
@@ -122,9 +121,9 @@ fn nexus4_from_file_reproduces_the_builtin_trajectory_bit_for_bit() {
     let text = std::fs::read_to_string(committed_catalog_dir().join("nexus4.toml"))
         .expect("committed nexus4 file");
     let from_file = parse_device(&text).expect("parses");
-    assert_eq!(from_file, usta_device::nexus4());
+    assert_eq!(&from_file, nexus4());
     let a = gfxbench_on(&from_file, 42);
-    let b = gfxbench_on(&usta_device::nexus4(), 42);
+    let b = gfxbench_on(nexus4(), 42);
     assert_eq!(a.skin_trace, b.skin_trace, "skin traces diverged");
     assert_eq!(a.freq_trace, b.freq_trace, "frequency traces diverged");
     assert_eq!(a.max_skin, b.max_skin);
@@ -211,10 +210,10 @@ fn non_monotone_opp_files_are_device_errors_with_file_context() {
     // Swap the first two OPP frequencies of the first cluster: parses
     // fine, fails DeviceSpec validation — and through Catalog::load_dir
     // the error names the file.
-    let spec = usta_device::nexus4();
+    let spec = nexus4();
     let khz0 = spec.clusters[0].opp[0].khz;
     let khz1 = spec.clusters[0].opp[1].khz;
-    let text = device_to_toml(&spec).replacen(
+    let text = device_to_toml(spec).replacen(
         &format!("opp-khz = [{khz0}, {khz1}"),
         &format!("opp-khz = [{khz1}, {khz0}"),
         1,

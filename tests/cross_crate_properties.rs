@@ -115,11 +115,12 @@ proptest! {
     /// monotonicity through the full phone model).
     #[test]
     fn phone_steady_state_monotone_in_cpu_power(base in 0.0f64..3.0, extra in 0.01f64..2.0) {
-        use usta_thermal::{HeatInput, PhoneThermalModel, PhoneThermalParams};
-        let mut cool = PhoneThermalModel::new(PhoneThermalParams::default()).expect("builds");
-        let mut hot = PhoneThermalModel::new(PhoneThermalParams::default()).expect("builds");
-        cool.set_heat(HeatInput { cpu_w: base, ..Default::default() });
-        hot.set_heat(HeatInput { cpu_w: base + extra, ..Default::default() });
+        use usta_thermal::{DeviceThermalModel, HeatLoad};
+        let topology = usta_device::by_id("nexus4").expect("built-in").thermal.topology();
+        let mut cool = DeviceThermalModel::new(topology.clone()).expect("builds");
+        let mut hot = DeviceThermalModel::new(topology).expect("builds");
+        cool.set_heat(HeatLoad { die_w: vec![base], ..Default::default() });
+        hot.set_heat(HeatLoad { die_w: vec![base + extra], ..Default::default() });
         let cool_ss = cool.steady_state().expect("solvable");
         let hot_ss = hot.steady_state().expect("solvable");
         for (c, h) in cool_ss.iter().zip(&hot_ss) {

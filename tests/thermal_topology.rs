@@ -217,15 +217,17 @@ fn prime_flagship_single_thread_burst_heats_the_prime_die() {
     assert!(prime > d.die_temperature(2), "prime die is the hotspot");
 }
 
-/// The nexus4 working topology is exactly the historical calibrated
-/// network, and its single-die observations keep the paper's 4-feature
-/// shape.
+/// The nexus4 working topology is its catalog spec's, and its
+/// single-die observations keep the paper's 4-feature shape.
 #[test]
 fn nexus4_topology_and_features_are_the_single_die_special_case() {
     let mut d = device("nexus4", 1);
     assert_eq!(
         *d.thermal_model().topology(),
-        usta_thermal::PhoneThermalParams::default().topology()
+        usta_device::by_id("nexus4")
+            .expect("built-in")
+            .thermal
+            .topology()
     );
     assert_eq!(d.die_node_names(), vec!["cpu"]);
     assert_eq!(d.node_temperature("cpu"), Some(d.die_temperature(0)));
